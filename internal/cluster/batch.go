@@ -207,6 +207,7 @@ func (c *Coordinator) QueryBatch(ctx context.Context, items []core.BatchItem, op
 			}
 			bstMu.Lock()
 			bst.Groups += done.Groups
+			bst.NodePairs += done.NodePairs
 			bst.PermFills += done.PermFills
 			bst.PermProbes += done.PermProbes
 			bstMu.Unlock()

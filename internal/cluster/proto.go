@@ -332,6 +332,7 @@ type BatchItemFrame struct {
 // sharing counters.
 type BatchExecDone struct {
 	Groups     int `json:"groups"`
+	NodePairs  int `json:"nodePairs,omitempty"`
 	PermFills  int `json:"permFills,omitempty"`
 	PermProbes int `json:"permProbes,omitempty"`
 }

@@ -1,15 +1,11 @@
 package core
 
 import (
-	"container/heap"
 	"context"
 	"errors"
-	"math/bits"
-	"sort"
 	"sync"
 	"time"
 
-	"github.com/imgrn/imgrn/internal/bitvec"
 	"github.com/imgrn/imgrn/internal/exec"
 	"github.com/imgrn/imgrn/internal/gene"
 	"github.com/imgrn/imgrn/internal/grn"
@@ -17,7 +13,6 @@ import (
 	"github.com/imgrn/imgrn/internal/obs"
 	"github.com/imgrn/imgrn/internal/plan"
 	"github.com/imgrn/imgrn/internal/randgen"
-	"github.com/imgrn/imgrn/internal/rstar"
 	"github.com/imgrn/imgrn/internal/stats"
 )
 
@@ -28,7 +23,8 @@ import (
 //
 //   - One shared R*-tree traversal per γ-group. Queries whose traversal
 //     parameters agree (γ, estimator side, ablation switches) descend the
-//     index together: every priority-queue entry carries a liveness
+//     index together (descend, the descent every query takes; a solo
+//     query is a group of one): every queued node pair carries a liveness
 //     bitmask of the member queries that admitted it, node pages are
 //     touched once per pop instead of once per query, and the per-query
 //     signature/gene-range/Lemma-6 tests run against the shared node.
@@ -115,6 +111,12 @@ type BatchStats struct {
 	// chunking to the bitmask width); degenerate items (duplicate genes,
 	// zero-edge graphs) never join a group.
 	Groups int
+	// NodePairs counts the node pairs the shared traversals popped. Each
+	// member's Stats.NodePairsVisited counts the pops its query was live
+	// on — what a descent of its own would pop — so the members' summed
+	// NodePairsVisited divided by NodePairs is the factor by which
+	// sharing cut the pops.
+	NodePairs int
 	// PermFills / PermProbes count shared-permutation batch
 	// materializations and the edge probabilities answered from them
 	// (zero unless SharedPerms).
@@ -126,6 +128,7 @@ func (b *BatchStats) merge(o BatchStats) {
 	b.Queries += o.Queries
 	b.Errors += o.Errors
 	b.Groups += o.Groups
+	b.NodePairs += o.NodePairs
 	b.PermFills += o.PermFills
 	b.PermProbes += o.PermProbes
 }
@@ -180,7 +183,6 @@ type batchMember struct {
 	proc  *Processor
 	graph *grn.Graph
 	st    Stats
-	pairs []candidatePair
 	trav  *travState
 	err   error
 	done  bool
@@ -295,7 +297,7 @@ func QueryBatch(ctx context.Context, idx *index.Index, items []BatchItem, opts B
 		case m.graph.NumEdges() == 0:
 			m.zeroEdges = true
 		default:
-			m.trav = buildTravState(m.proc, m.graph)
+			m.trav = newTravState(idx, m.graph, &m.st)
 		}
 	}
 
@@ -306,16 +308,27 @@ func QueryBatch(ctx context.Context, idx *index.Index, items []BatchItem, opts B
 		bst.Groups++
 		gctx, cancel := batchWindow(ctx, opts.ItemTimeout)
 		gStart := time.Now()
-		err := batchTraverse(gctx, idx, group)
+		io := idx.NewReader()
+		travs := make([]*travState, len(group))
+		for i, m := range group {
+			travs[i] = m.trav
+		}
+		pops, err := descend(gctx, idx, io, group[0].proc.params, travs)
+		bst.NodePairs += pops
 		gDur := time.Since(gStart)
 		cancel()
+		// The group paid for its pages once; every member's descent needed
+		// all of them, so each is charged the group's I/O.
+		iost := io.Stats()
 		for _, m := range group {
+			m.st.IOCost += iost.Accesses
+			m.st.IOHits += iost.Hits
 			m.st.Traversal = gDur
 			if err != nil {
 				m.err = err
 				continue
 			}
-			m.proc.params.Trace.Record(obs.StageTraverse, gStart, gDur, m.st.NodePairsVisited, len(m.pairs))
+			m.proc.params.Trace.Record(obs.StageTraverse, gStart, gDur, m.st.NodePairsVisited, len(m.trav.pairs))
 		}
 	}
 
@@ -378,8 +391,8 @@ func (m *batchMember) refineItem(ctx context.Context, opts BatchOptions) ([]Answ
 		tr.Record(obs.StageTraverse, tStart, st.Traversal, 0, len(sources))
 	} else {
 		fStart := time.Now()
-		sources = collectSources(queryScratchFor(ec), m.pairs, st)
-		tr.Record(obs.StageFilter, fStart, time.Since(fStart), len(m.pairs), st.CandidateMatrices)
+		sources = collectSources(queryScratchFor(ec), m.trav.pairs, st)
+		tr.Record(obs.StageFilter, fStart, time.Since(fStart), len(m.trav.pairs), st.CandidateMatrices)
 	}
 
 	rStart := time.Now()
@@ -489,315 +502,6 @@ func groupTraversals(members []*batchMember) [][]*batchMember {
 		}
 	}
 	return out
-}
-
-// maskWidth is the liveness bitmask width: the maximum number of queries
-// one shared descent serves. Larger groups chunk into several descents.
-const maskWidth = 64
-
-// travState is one member's per-query traversal state: the highest-degree
-// query vertex, its neighbor set, and the bit-vector signatures of the
-// line 9–13 admission tests (mirrors Processor.traverse's prologue).
-type travState struct {
-	gsGene        gene.ID
-	gsF           float64
-	neighborGenes map[gene.ID]bool
-	neighborF     []float64
-	qVfS, qVfT    *bitvec.Vector
-	qVdS, qVdT    *bitvec.Vector
-}
-
-func buildTravState(p *Processor, q *grn.Graph) *travState {
-	b := p.idx.Bits()
-	ts := &travState{neighborGenes: make(map[gene.ID]bool)}
-	gs := q.MaxDegreeVertex()
-	ts.gsGene = q.Gene(gs)
-	ts.gsF = float64(ts.gsGene)
-	ts.qVfS = bitvec.New(b)
-	ts.qVfS.Set(bitvec.HashGene(ts.gsGene, b))
-	ts.qVfT = bitvec.New(b)
-	ts.qVdS = p.idx.Inverted().Sources(ts.gsGene).Clone()
-	ts.qVdT = bitvec.New(b)
-	for _, t := range q.Neighbors(gs) {
-		tg := q.Gene(t)
-		ts.neighborGenes[tg] = true
-		ts.qVfT.Set(bitvec.HashGene(tg, b))
-		ts.qVdT.OrInPlace(p.idx.Inverted().Sources(tg))
-	}
-	for g := range ts.neighborGenes {
-		ts.neighborF = append(ts.neighborF, float64(g))
-	}
-	sort.Float64s(ts.neighborF)
-	return ts
-}
-
-// sideContainsS reports whether the node's gene-ID MBR range contains the
-// member's highest-degree query gene (the s-side range test).
-func (ts *travState) sideContainsS(mbr rstar.Rect, geneDim int) bool {
-	return mbr.Min[geneDim] <= ts.gsF && ts.gsF <= mbr.Max[geneDim]
-}
-
-// anyNeighborIn reports whether some neighbor gene ID lies within the
-// node's gene-ID MBR range (the t-side range test).
-func (ts *travState) anyNeighborIn(mbr rstar.Rect, geneDim int) bool {
-	lo, hi := mbr.Min[geneDim], mbr.Max[geneDim]
-	i := sort.SearchFloat64s(ts.neighborF, lo)
-	return i < len(ts.neighborF) && ts.neighborF[i] <= hi
-}
-
-// maskedPairItem is one shared-queue element: a node pair plus the
-// liveness mask of the member queries whose admission chain reached it.
-type maskedPairItem struct {
-	key  int // node level: smaller pops first => depth-first descent
-	seq  int // insertion sequence for deterministic tie-breaking
-	a, b *rstar.Node
-	mask uint64
-}
-
-type maskedPairQueue []maskedPairItem
-
-func (q maskedPairQueue) Len() int { return len(q) }
-func (q maskedPairQueue) Less(i, j int) bool {
-	if q[i].key != q[j].key {
-		return q[i].key < q[j].key
-	}
-	return q[i].seq < q[j].seq
-}
-func (q maskedPairQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *maskedPairQueue) Push(x any)   { *q = append(*q, x.(maskedPairItem)) }
-func (q *maskedPairQueue) Pop() any {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	*q = old[:n-1]
-	return it
-}
-
-// batchTraverse is the shared pairwise priority-queue descent for one
-// γ-group (Figure 4 lines 2–27, evaluated per member at every entry).
-// The priority key of a pair is the minimum of its member queries' solo
-// keys — every solo key is the node level, so the shared queue preserves
-// each member's depth-first visit order. Every page is touched once per
-// pop on the group's shared reader; the group's I/O totals are charged to
-// every member's stats afterwards (each member's traversal needed those
-// pages — the engine just paid for them once).
-//
-// A member retires from the descent when no queued pair carries its bit
-// any longer (its admission chain is exhausted); a cancelled or timed-out
-// group context aborts the whole group at the next check boundary.
-func batchTraverse(ctx context.Context, idx *index.Index, group []*batchMember) error {
-	p0 := group[0].proc.params
-	d := idx.D()
-	geneDim := 2 * d
-	gamma := p0.Gamma
-	oneSided := p0.OneSided
-	io := idx.NewReader()
-	defer func() {
-		iost := io.Stats()
-		for _, m := range group {
-			m.st.IOCost += iost.Accesses
-			m.st.IOHits += iost.Hits
-		}
-	}()
-
-	// Group-level neighbor-gene → member-mask table: one leaf-entry scan
-	// serves every member at once (leafScanGroup) instead of one scan per
-	// live member, and the pivot upper bound — a function of the point
-	// pair and the group-uniform (γ, side) alone — is computed once per
-	// point pair for the whole group.
-	maxNbr := gene.ID(0)
-	for _, m := range group {
-		for g := range m.trav.neighborGenes {
-			if g > maxNbr {
-				maxNbr = g
-			}
-		}
-	}
-	nbrMask := make([]uint64, int(maxNbr)+1)
-	for bi, m := range group {
-		bit := uint64(1) << uint(bi)
-		for g := range m.trav.neighborGenes {
-			nbrMask[g] |= bit
-		}
-	}
-
-	tree := idx.Tree()
-	root := tree.Root()
-	pq := make(maskedPairQueue, 0, 64)
-	heap.Init(&pq)
-	seq := 0
-	push := func(key int, a, b *rstar.Node, mask uint64) {
-		heap.Push(&pq, maskedPairItem{key: key, seq: seq, a: a, b: b, mask: mask})
-		seq++
-	}
-
-	// Seed with the root paired against itself; admission per member.
-	idx.TouchNodeTo(io, root)
-	rootMask := uint64(0)
-	for bi, m := range group {
-		if p0.DisableSignatures || rootAdmissibleFor(idx, root, m.trav) {
-			rootMask |= 1 << uint(bi)
-		}
-	}
-	if rootMask != 0 {
-		push(root.Level(), root, root, rootMask)
-	}
-
-	pops := 0
-	for pq.Len() > 0 {
-		if pops%cancelCheckInterval == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		it := heap.Pop(&pq).(maskedPairItem)
-		pops++
-		for ms := it.mask; ms != 0; ms &= ms - 1 {
-			group[bits.TrailingZeros64(ms)].st.NodePairsVisited++
-		}
-		ea, eb := it.a, it.b
-		idx.TouchNodeTo(io, ea)
-		if eb != ea {
-			idx.TouchNodeTo(io, eb)
-		}
-		if ea.IsLeaf() {
-			// Lines 16–21: one shared pass over the leaf entry pairs serves
-			// every live member.
-			leafScanGroup(group, nbrMask, it.mask, ea, eb,
-				d, gamma, oneSided, p0.DisablePivotPruning)
-			continue
-		}
-		// Lines 22–27: expand child pairs, admission per member.
-		for i := 0; i < ea.NumEntries(); i++ {
-			ca := ea.Child(i)
-			fa, da := idx.NodeSignature(ca)
-			sMask := uint64(0)
-			for ms := it.mask; ms != 0; ms &= ms - 1 {
-				bi := bits.TrailingZeros64(ms)
-				m := group[bi]
-				// Gene-ID range test: the s-side subtree must contain g_s.
-				if !p0.DisableGeneRange && !m.trav.sideContainsS(ca.MBR(), geneDim) {
-					m.st.NodePairsPruned += eb.NumEntries()
-					continue
-				}
-				if !p0.DisableSignatures && !m.trav.qVfS.Intersects(fa) {
-					m.st.NodePairsPruned += eb.NumEntries()
-					continue
-				}
-				sMask |= 1 << uint(bi)
-			}
-			if sMask == 0 {
-				continue
-			}
-			for j := 0; j < eb.NumEntries(); j++ {
-				cb := eb.Child(j)
-				fb, db := idx.NodeSignature(cb)
-				// Lemma 6 depends only on the MBR pair and the group's
-				// shared (γ, side): memoize it across members.
-				l6 := -1
-				cMask := uint64(0)
-				for ms := sMask; ms != 0; ms &= ms - 1 {
-					bi := bits.TrailingZeros64(ms)
-					m := group[bi]
-					// Gene-ID range test on the t side.
-					if !p0.DisableGeneRange && !m.trav.anyNeighborIn(cb.MBR(), geneDim) {
-						m.st.NodePairsPruned++
-						continue
-					}
-					// Line 25: gene-name and data-source signature tests.
-					if !p0.DisableSignatures &&
-						(!m.trav.qVfT.Intersects(fb) || !m.trav.qVdS.IntersectsAll(da, m.trav.qVdT, db)) {
-						m.st.NodePairsPruned++
-						continue
-					}
-					// Line 25 (cont.): Lemma 6 index pruning.
-					if !p0.DisableIndexPruning {
-						if l6 < 0 {
-							if index.IndexPrunable(ca.MBR(), cb.MBR(), d, gamma, oneSided) {
-								l6 = 1
-							} else {
-								l6 = 0
-							}
-						}
-						if l6 == 1 {
-							m.st.NodePairsPruned++
-							continue
-						}
-					}
-					cMask |= 1 << uint(bi)
-				}
-				if cMask != 0 {
-					push(it.key-1, ca, cb, cMask)
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// leafScanGroup runs the leaf-level point-pair checks (lines 16–21) for
-// every live member in one pass over the entry pairs. Per member it is
-// byte-identical to the solo scan — the same pairs pass the same gene,
-// source and pivot filters in the same (i, j) order — but the entry
-// iteration, the gene lookups and the pivot upper bound are paid once
-// per pair for the whole group instead of once per member (the bound
-// depends only on the points and the group-uniform γ and side). The
-// s-side gene filter stays a direct per-member integer comparison —
-// cheaper than hashing for the group sizes the mask admits — while the
-// t-side neighbor filter indexes a dense gene-ID -> member-mask table
-// built once per group — catalog gene IDs are small dense integers, so
-// the array load replaces the per-iteration map hash a solo scan pays
-// and answers for every member at once.
-func leafScanGroup(group []*batchMember, nbrMask []uint64, mask uint64,
-	ea, eb *rstar.Node, d int, gamma float64, oneSided, disPivot bool) {
-	for i := 0; i < ea.NumEntries(); i++ {
-		ia := ea.Item(i)
-		ga := gene.ID(int32(ia.Point[len(ia.Point)-1]))
-		aMask := uint64(0)
-		for ms := mask; ms != 0; ms &= ms - 1 {
-			bi := bits.TrailingZeros64(ms)
-			if group[bi].trav.gsGene == ga {
-				aMask |= 1 << uint(bi)
-			}
-		}
-		if aMask == 0 {
-			continue
-		}
-		srcA, colA := index.UnpackRef(ia.Ref)
-		for j := 0; j < eb.NumEntries(); j++ {
-			ib := eb.Item(j)
-			gb := int(int32(ib.Point[len(ib.Point)-1]))
-			if gb >= len(nbrMask) {
-				continue
-			}
-			bMask := nbrMask[gb] & aMask
-			if bMask == 0 {
-				continue
-			}
-			srcB, colB := index.UnpackRef(ib.Ref)
-			if srcA != srcB {
-				continue // line 19: data source IDs must agree
-			}
-			// Line 20: pivot-based pruning on embedded points, shared.
-			pruned := !disPivot &&
-				index.PointUpperBound(ia.Point, ib.Point, d, oneSided) <= gamma
-			for ms := bMask; ms != 0; ms &= ms - 1 {
-				m := group[bits.TrailingZeros64(ms)]
-				m.st.PointPairsChecked++
-				if pruned {
-					m.st.PointPairsPruned++
-					continue
-				}
-				m.pairs = append(m.pairs, candidatePair{source: srcA, sCol: colA, tCol: colB})
-			}
-		}
-	}
-}
-
-// rootAdmissibleFor mirrors rootAdmissible for one member's signatures.
-func rootAdmissibleFor(idx *index.Index, root *rstar.Node, ts *travState) bool {
-	f, dsig := idx.NodeSignature(root)
-	return ts.qVfS.Intersects(f) && ts.qVfT.Intersects(f) && ts.qVdS.IntersectsAll(dsig, ts.qVdT)
 }
 
 // permPool is the batch-wide shared permutation store of the SharedPerms

@@ -10,6 +10,7 @@
 package core
 
 import (
+	"fmt"
 	"time"
 
 	"github.com/imgrn/imgrn/internal/gene"
@@ -27,8 +28,8 @@ type Params struct {
 	// Alpha is the probabilistic matching threshold α ∈ [0, 1).
 	Alpha float64
 	// Samples is the Monte Carlo sample count for exact edge probabilities
-	// (stats.DefaultSamples when 0). Overridden by Eps/Delta or an
-	// explicit Plan.
+	// (stats.DefaultSamples when 0; at most stats.MaxSamples). Overridden
+	// by Eps/Delta or an explicit Plan.
 	Samples int
 	// Eps and Delta request a per-query (ε, δ)-approximation: when either
 	// is non-zero both must satisfy Lemma 2's domain (ε > 0, 0 < δ < 1;
@@ -121,8 +122,9 @@ type Params struct {
 	DisableBatchInference bool
 }
 
-// Validate reports whether the thresholds are in range, including the
-// Lemma-2 domain of a requested (Eps, Delta). Bad accuracy parameters
+// Validate reports whether the thresholds are in range, an explicit
+// Samples lies in [0, stats.MaxSamples], and a requested (Eps, Delta) is
+// in Lemma 2's domain with a bound of at most stats.MaxSamples. Bad accuracy parameters
 // surface here as an error — never as a stats.SampleSize panic — so the
 // HTTP layer can answer 400.
 func (p Params) Validate() error {
@@ -131,6 +133,9 @@ func (p Params) Validate() error {
 	}
 	if p.Alpha < 0 || p.Alpha >= 1 {
 		return errOutOfRange("Alpha", p.Alpha)
+	}
+	if p.Samples < 0 || p.Samples > stats.MaxSamples {
+		return fmt.Errorf("core: Samples %d out of range [0, %d]", p.Samples, stats.MaxSamples)
 	}
 	if p.Eps != 0 || p.Delta != 0 {
 		if _, err := stats.SampleSizeErr(p.Eps, p.Delta); err != nil {

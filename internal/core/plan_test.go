@@ -106,6 +106,7 @@ func TestAccuracyChoosesLemma2Samples(t *testing.T) {
 func TestValidateRejectsBadAccuracy(t *testing.T) {
 	for _, c := range []struct{ eps, delta float64 }{
 		{-0.1, 0.05}, {0.1, 0}, {0, 0.05}, {0.1, 1}, {0.1, -2},
+		{1e-9, 1e-9}, {1e-3, 0.05}, // bounds above stats.MaxSamples
 	} {
 		p := core.Params{Gamma: 0.5, Alpha: 0.4, Eps: c.eps, Delta: c.delta}
 		if err := p.Validate(); err == nil {
@@ -118,6 +119,15 @@ func TestValidateRejectsBadAccuracy(t *testing.T) {
 	ok := core.Params{Gamma: 0.5, Alpha: 0.4, Eps: 0.1, Delta: 0.05}
 	if err := ok.Validate(); err != nil {
 		t.Errorf("Validate(valid accuracy): %v", err)
+	}
+	for _, n := range []int{-1, stats.MaxSamples + 1} {
+		p := core.Params{Gamma: 0.5, Alpha: 0.4, Samples: n}
+		if err := p.Validate(); err == nil {
+			t.Errorf("Validate(Samples=%d): want error", n)
+		}
+	}
+	if p := (core.Params{Gamma: 0.5, Alpha: 0.4, Samples: stats.MaxSamples}); p.Validate() != nil {
+		t.Errorf("Validate(Samples=MaxSamples): %v", p.Validate())
 	}
 }
 

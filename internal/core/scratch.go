@@ -48,6 +48,8 @@ type queryScratch struct {
 	sources  []int
 	scores   []float64
 	pairs    []genePair
+	// travPairs holds the candidate pairs of a solo query's descent.
+	travPairs []candidatePair
 
 	sourceSet map[int]bool
 	geneSet   map[[2]int]bool

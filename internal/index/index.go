@@ -32,6 +32,7 @@ package index
 import (
 	"fmt"
 	"math"
+	"sort"
 	"time"
 
 	"github.com/imgrn/imgrn/internal/bitvec"
@@ -100,11 +101,26 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// signature is the node augmentation: V_f and V_d of Section 5.1.
+// signature is the node augmentation: V_f and V_d of Section 5.1, plus
+// the sorted entry keys of a leaf.
 type signature struct {
 	f *bitvec.Vector // gene-ID signature
 	d *bitvec.Vector // data-source signature
+	// keys are a leaf's entry keys (nil on internal nodes).
+	keys LeafKeys
 }
+
+// LeafKeys are one leaf's entry keys sorted by (source, gene), as parallel
+// int32 arrays: key k belongs to the leaf's entry Pos[k], whose point lies
+// in data source Source[k] and carries gene Gene[k]. They let the
+// leaf-level point-pair checks (Figure 4 lines 16–21) join two leaves on
+// source without loading any entry's point.
+type LeafKeys struct {
+	Source, Gene, Pos []int32
+}
+
+// Len returns the number of keys.
+func (k LeafKeys) Len() int { return len(k.Pos) }
 
 // heapInfo locates one matrix's column data in the simulated heap file.
 type heapInfo struct {
@@ -268,26 +284,61 @@ func newInvertedFromDB(db *gene.Database, bits int) *bitvec.InvertedFile {
 	return inv
 }
 
-// buildSignatures computes V_f and V_d bottom-up (bit-OR aggregation).
+// buildSignatures computes V_f and V_d bottom-up (bit-OR aggregation) and
+// the sorted entry keys of every leaf.
 func (x *Index) buildSignatures() {
 	b := x.opts.Bits
 	x.tree.WalkBottomUp(func(n *rstar.Node) {
-		sig := signature{f: bitvec.New(b), d: bitvec.New(b)}
-		for i := 0; i < n.NumEntries(); i++ {
-			if n.IsLeaf() {
-				it := n.Item(i)
-				source, _ := UnpackRef(it.Ref)
-				g := gene.ID(int32(it.Point[len(it.Point)-1]))
-				sig.f.Set(bitvec.HashGene(g, b))
-				sig.d.Set(bitvec.HashSource(source, b))
-			} else {
-				child := n.Child(i).Aug.(signature)
+		sig := &signature{f: bitvec.New(b), d: bitvec.New(b)}
+		if n.IsLeaf() {
+			sig.keys = leafKeys(n)
+			for k := range sig.keys.Pos {
+				sig.f.Set(bitvec.HashGene(gene.ID(sig.keys.Gene[k]), b))
+				sig.d.Set(bitvec.HashSource(int(sig.keys.Source[k]), b))
+			}
+		} else {
+			for i := 0; i < n.NumEntries(); i++ {
+				child := n.Child(i).Aug.(*signature)
 				sig.f.OrInPlace(child.f)
 				sig.d.OrInPlace(child.d)
 			}
 		}
 		n.Aug = sig
 	})
+}
+
+// leafKeys extracts a leaf's entry keys into one backing array and sorts
+// them by (source, gene). Gene labels are unique within a matrix, so
+// every key is distinct and the order is total.
+func leafKeys(n *rstar.Node) LeafKeys {
+	m := n.NumEntries()
+	buf := make([]int32, 3*m)
+	k := LeafKeys{Source: buf[:m:m], Gene: buf[m : 2*m : 2*m], Pos: buf[2*m:]}
+	for i := 0; i < m; i++ {
+		it := n.Item(i)
+		source, _ := UnpackRef(it.Ref)
+		k.Source[i] = int32(source)
+		k.Gene[i] = int32(it.Point[len(it.Point)-1])
+		k.Pos[i] = int32(i)
+	}
+	sort.Sort(leafKeyOrder(k))
+	return k
+}
+
+// leafKeyOrder sorts LeafKeys by (source, gene).
+type leafKeyOrder LeafKeys
+
+func (o leafKeyOrder) Len() int { return len(o.Pos) }
+func (o leafKeyOrder) Less(i, j int) bool {
+	if o.Source[i] != o.Source[j] {
+		return o.Source[i] < o.Source[j]
+	}
+	return o.Gene[i] < o.Gene[j]
+}
+func (o leafKeyOrder) Swap(i, j int) {
+	o.Source[i], o.Source[j] = o.Source[j], o.Source[i]
+	o.Gene[i], o.Gene[j] = o.Gene[j], o.Gene[i]
+	o.Pos[i], o.Pos[j] = o.Pos[j], o.Pos[i]
 }
 
 // DB returns the underlying database.
@@ -329,8 +380,15 @@ func (x *Index) Stats() BuildStats { return x.stats }
 
 // NodeSignature returns the V_f/V_d signatures of a tree node.
 func (x *Index) NodeSignature(n *rstar.Node) (f, d *bitvec.Vector) {
-	sig := n.Aug.(signature)
+	sig := n.Aug.(*signature)
 	return sig.f, sig.d
+}
+
+// LeafKeys returns the sorted entry keys of leaf n (empty for internal
+// nodes). They are rebuilt with the signatures on Build, Load and every
+// AddMatrix/RemoveMatrix.
+func (x *Index) LeafKeys(n *rstar.Node) LeafKeys {
+	return n.Aug.(*signature).keys
 }
 
 // TouchNode charges one read of node n to the shared accountant.
@@ -442,14 +500,49 @@ func IndexPrunable(ea, eb rstar.Rect, d int, gamma float64, oneSided bool) bool 
 
 // PointUpperBound computes the pivot-based probability upper bound from
 // two embedded (2d+1)-dimensional leaf points of the same data source.
+// It is pivot.UpperBoundCoords read in place from the interleaved
+// (x[r], y[r]) = (p[2r], p[2r+1]) layout, with the same arithmetic in the
+// same order, so the two agree bit for bit; it allocates nothing, as it
+// runs once per checked point pair.
 func PointUpperBound(ps, pt []float64, d int, oneSided bool) float64 {
-	xs := make([]float64, d)
-	ys := make([]float64, d)
-	xt := make([]float64, d)
-	yt := make([]float64, d)
-	for r := 0; r < d; r++ {
-		xs[r], ys[r] = ps[2*r], ps[2*r+1]
-		xt[r], yt[r] = pt[2*r], pt[2*r+1]
+	ps, pt = ps[:2*d], pt[:2*d]
+	// pivot.EffectiveDistanceLB over the x coordinates.
+	dlb := 0.0
+	for r := 0; r < 2*d; r += 2 {
+		if v := math.Abs(ps[r] - pt[r]); v > dlb {
+			dlb = v
+		}
 	}
-	return pivot.UpperBoundCoords(xs, ys, xt, yt, oneSided)
+	if !oneSided {
+		ubd := math.Inf(1)
+		for r := 0; r < 2*d; r += 2 {
+			if v := ps[r] + pt[r]; v < ubd {
+				ubd = v
+			}
+		}
+		alt2 := 4 - ubd*ubd
+		if alt2 < 0 {
+			alt2 = 0
+		}
+		if alt := math.Sqrt(alt2); alt < dlb {
+			dlb = alt
+		}
+	}
+	ub := 1.0
+	for w := 0; w < 2*d; w += 2 {
+		if c := dlb - ps[w]; c > 0 {
+			if b := pt[w+1] / c; b < ub {
+				ub = b
+			}
+		}
+		if c := dlb - pt[w]; c > 0 {
+			if b := ps[w+1] / c; b < ub {
+				ub = b
+			}
+		}
+	}
+	if ub < 0 {
+		ub = 0
+	}
+	return ub
 }

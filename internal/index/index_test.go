@@ -1,11 +1,13 @@
 package index
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 
 	"github.com/imgrn/imgrn/internal/bitvec"
 	"github.com/imgrn/imgrn/internal/gene"
+	"github.com/imgrn/imgrn/internal/pivot"
 	"github.com/imgrn/imgrn/internal/randgen"
 	"github.com/imgrn/imgrn/internal/rstar"
 	"github.com/imgrn/imgrn/internal/synth"
@@ -261,4 +263,111 @@ func TestFetchStdColumnRoundTrip(t *testing.T) {
 	if _, err := idx.FetchStdColumn(9999, 0, nil); err == nil {
 		t.Error("unknown source should error")
 	}
+}
+
+// TestPointUpperBoundMatchesCoords: the in-place bound over interleaved
+// leaf points equals pivot.UpperBoundCoords on the split coordinates bit
+// for bit, on random points for several pivot counts and both measures,
+// and allocates nothing.
+func TestPointUpperBoundMatchesCoords(t *testing.T) {
+	rng := randgen.New(91)
+	for d := 1; d <= 4; d++ {
+		for trial := 0; trial < 500; trial++ {
+			ps := make([]float64, 2*d+1)
+			pt := make([]float64, 2*d+1)
+			for k := 0; k < 2*d; k++ {
+				ps[k] = rng.Float64() * 2
+				pt[k] = rng.Float64() * 2
+			}
+			xs, ys := make([]float64, d), make([]float64, d)
+			xt, yt := make([]float64, d), make([]float64, d)
+			for r := 0; r < d; r++ {
+				xs[r], ys[r] = ps[2*r], ps[2*r+1]
+				xt[r], yt[r] = pt[2*r], pt[2*r+1]
+			}
+			for _, oneSided := range []bool{false, true} {
+				got := PointUpperBound(ps, pt, d, oneSided)
+				if want := pivot.UpperBoundCoords(xs, ys, xt, yt, oneSided); got != want {
+					t.Fatalf("d=%d oneSided=%v: PointUpperBound %v, UpperBoundCoords %v", d, oneSided, got, want)
+				}
+			}
+		}
+	}
+	ps := []float64{0.4, 0.9, 1.1, 1.3, 7}
+	pt := []float64{1.2, 0.8, 0.3, 1.0, 9}
+	if allocs := testing.AllocsPerRun(100, func() { PointUpperBound(ps, pt, 2, false) }); allocs != 0 {
+		t.Errorf("PointUpperBound allocates %v times per call, want 0", allocs)
+	}
+}
+
+// TestLeafKeysMatchEntries: every leaf's keys list its entries exactly
+// once, sorted by (source, gene), after Build, AddMatrix, RemoveMatrix and
+// a Save/Load round trip.
+func TestLeafKeysMatchEntries(t *testing.T) {
+	ds := smallDataset(t, 16, 92)
+	db := gene.NewDatabase()
+	for _, m := range ds.DB.Matrices()[:12] {
+		if err := db.Add(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	idx, err := Build(db, Options{D: 2, Samples: 16, Seed: 92, MaxFill: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(stage string, x *Index) {
+		t.Helper()
+		leaves := 0
+		x.Tree().Walk(func(n *rstar.Node) bool {
+			if !n.IsLeaf() {
+				if x.LeafKeys(n).Len() != 0 {
+					t.Fatalf("%s: internal node carries leaf keys", stage)
+				}
+				return true
+			}
+			leaves++
+			k := x.LeafKeys(n)
+			if k.Len() != n.NumEntries() {
+				t.Fatalf("%s: leaf of %d entries has %d keys", stage, n.NumEntries(), k.Len())
+			}
+			seen := make([]bool, n.NumEntries())
+			for i := 0; i < k.Len(); i++ {
+				it := n.Item(int(k.Pos[i]))
+				src, _ := UnpackRef(it.Ref)
+				if seen[k.Pos[i]] || int(k.Source[i]) != src || gene.ID(k.Gene[i]) != gene.ID(int32(it.Point[len(it.Point)-1])) {
+					t.Fatalf("%s: key %d does not describe entry %d", stage, i, k.Pos[i])
+				}
+				seen[k.Pos[i]] = true
+				if i > 0 && (k.Source[i-1] > k.Source[i] || k.Source[i-1] == k.Source[i] && k.Gene[i-1] >= k.Gene[i]) {
+					t.Fatalf("%s: keys %d, %d out of (source, gene) order", stage, i-1, i)
+				}
+			}
+			return true
+		})
+		if leaves < 2 {
+			t.Fatalf("%s: %d leaves; the fixture exercises nothing", stage, leaves)
+		}
+	}
+	check("built", idx)
+	for _, m := range ds.DB.Matrices()[12:] {
+		if err := idx.AddMatrix(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("after AddMatrix", idx)
+	for _, m := range ds.DB.Matrices()[2:6] {
+		if err := idx.RemoveMatrix(m.Source); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("after RemoveMatrix", idx)
+	var buf bytes.Buffer
+	if err := idx.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(&buf, idx.DB())
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("after Save/Load", loaded)
 }

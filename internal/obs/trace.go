@@ -18,7 +18,7 @@ const (
 	// StageInfer is ad-hoc query-GRN inference from the query matrix
 	// (Fig. 4 line 1, Definition 2/3).
 	StageInfer Stage = iota
-	// StageTraverse is the pairwise priority-queue descent of the R*-tree
+	// StageTraverse is the pairwise depth-first descent of the R*-tree
 	// index (Fig. 4 lines 2–27), including the bit-vector signature,
 	// gene-ID-range and Lemma-6 structural filters applied per node pair.
 	StageTraverse

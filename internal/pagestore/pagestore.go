@@ -204,76 +204,88 @@ func (s Stats) String() string {
 	return fmt.Sprintf("accesses=%d hits=%d allocated=%d", s.Accesses, s.Hits, s.Allocated)
 }
 
-// lruCache is a minimal intrusive LRU set of PageIDs.
+// lruCache is a minimal LRU set of PageIDs. Its entries live in one
+// slice linked by int32 index, so a touch allocates nothing beyond the
+// map's own growth, and the map is not presized: a per-query reader
+// starts empty and grows only to the pages its query touches.
 type lruCache struct {
 	capacity int
-	nodes    map[PageID]*lruNode
-	head     *lruNode // most recently used
-	tail     *lruNode // least recently used
+	index    map[PageID]int32
+	slots    []lruSlot
+	head     int32 // most recently used, -1 when empty
+	tail     int32 // least recently used, -1 when empty
 }
 
-type lruNode struct {
+type lruSlot struct {
 	id         PageID
-	prev, next *lruNode
+	prev, next int32 // -1 = none
 }
 
 func newLRU(capacity int) *lruCache {
-	return &lruCache{capacity: capacity, nodes: make(map[PageID]*lruNode, capacity)}
+	return &lruCache{capacity: capacity, index: make(map[PageID]int32), head: -1, tail: -1}
 }
 
 // touch returns true when id was already cached (a buffer hit); otherwise
 // it inserts id, evicting the LRU entry if full, and returns false.
 func (c *lruCache) touch(id PageID) bool {
-	if n, ok := c.nodes[id]; ok {
-		c.moveToFront(n)
+	if i, ok := c.index[id]; ok {
+		c.moveToFront(i)
 		return true
 	}
-	n := &lruNode{id: id}
-	c.nodes[id] = n
-	c.pushFront(n)
-	if len(c.nodes) > c.capacity {
-		evict := c.tail
-		c.unlink(evict)
-		delete(c.nodes, evict.id)
+	var i int32
+	if len(c.slots) < c.capacity {
+		i = int32(len(c.slots))
+		c.slots = append(c.slots, lruSlot{})
+	} else {
+		// Full: the least recently used slot takes the new page.
+		i = c.tail
+		c.unlink(i)
+		delete(c.index, c.slots[i].id)
 	}
+	c.slots[i].id = id
+	c.index[id] = i
+	c.pushFront(i)
 	return false
 }
 
 func (c *lruCache) reset() {
-	c.nodes = make(map[PageID]*lruNode, c.capacity)
-	c.head, c.tail = nil, nil
+	clear(c.index)
+	c.slots = c.slots[:0]
+	c.head, c.tail = -1, -1
 }
 
-func (c *lruCache) pushFront(n *lruNode) {
-	n.prev = nil
-	n.next = c.head
-	if c.head != nil {
-		c.head.prev = n
+func (c *lruCache) pushFront(i int32) {
+	s := &c.slots[i]
+	s.prev = -1
+	s.next = c.head
+	if c.head >= 0 {
+		c.slots[c.head].prev = i
 	}
-	c.head = n
-	if c.tail == nil {
-		c.tail = n
+	c.head = i
+	if c.tail < 0 {
+		c.tail = i
 	}
 }
 
-func (c *lruCache) unlink(n *lruNode) {
-	if n.prev != nil {
-		n.prev.next = n.next
+func (c *lruCache) unlink(i int32) {
+	s := &c.slots[i]
+	if s.prev >= 0 {
+		c.slots[s.prev].next = s.next
 	} else {
-		c.head = n.next
+		c.head = s.next
 	}
-	if n.next != nil {
-		n.next.prev = n.prev
+	if s.next >= 0 {
+		c.slots[s.next].prev = s.prev
 	} else {
-		c.tail = n.prev
+		c.tail = s.prev
 	}
-	n.prev, n.next = nil, nil
+	s.prev, s.next = -1, -1
 }
 
-func (c *lruCache) moveToFront(n *lruNode) {
-	if c.head == n {
+func (c *lruCache) moveToFront(i int32) {
+	if c.head == i {
 		return
 	}
-	c.unlink(n)
-	c.pushFront(n)
+	c.unlink(i)
+	c.pushFront(i)
 }

@@ -454,7 +454,7 @@ func (s *Server) handleClusterExecBatch(w http.ResponseWriter, r *http.Request) 
 	}
 	s.met.requests.With("cluster-exec-batch").Inc()
 	out.frame(cluster.BatchExecFrame{Done: &cluster.BatchExecDone{
-		Groups: bst.Groups, PermFills: bst.PermFills, PermProbes: bst.PermProbes,
+		Groups: bst.Groups, NodePairs: bst.NodePairs, PermFills: bst.PermFills, PermProbes: bst.PermProbes,
 	}})
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/imgrn/imgrn/internal/plan"
+	"github.com/imgrn/imgrn/internal/stats"
 )
 
 // planQueryRequest is the shared accuracy-requesting query fixture.
@@ -20,9 +21,10 @@ func planQueryRequest(t *testing.T, s *Server, params ParamsJSON) *httptest.Resp
 	})
 }
 
-// TestQueryBadAccuracy400: an invalid (eps, delta) is a client error —
-// the request is answered 400 with a JSON error body, never a panic
-// (the old stats.SampleSize path panicked on bad accuracy parameters).
+// TestQueryBadAccuracy400: an invalid (eps, delta) or sample count is a
+// client error — the request is answered 400 with a JSON error body,
+// never a panic (the old stats.SampleSize path panicked on bad accuracy
+// parameters) and never an unbounded Monte Carlo run.
 func TestQueryBadAccuracy400(t *testing.T) {
 	s, _, _ := fixture(t)
 	for _, p := range []ParamsJSON{
@@ -31,6 +33,10 @@ func TestQueryBadAccuracy400(t *testing.T) {
 		{Gamma: 0.5, Alpha: 0.4, Delta: 0.05},        // eps missing
 		{Gamma: 0.5, Alpha: 0.4, Eps: 0.1, Delta: 1}, // delta at the open bound
 		{Gamma: 0.5, Alpha: 0.4, Eps: 0.1, Delta: -2},
+		{Gamma: 0.5, Alpha: 0.4, Eps: 1e-9, Delta: 1e-9}, // R overflowed int
+		{Gamma: 0.5, Alpha: 0.4, Eps: 1e-3, Delta: 0.05}, // R ≈ 6.4e7 > stats.MaxSamples
+		{Gamma: 0.5, Alpha: 0.4, Samples: -1},
+		{Gamma: 0.5, Alpha: 0.4, Samples: stats.MaxSamples + 1},
 	} {
 		rec := planQueryRequest(t, s, p)
 		if rec.Code != http.StatusBadRequest {

@@ -576,7 +576,8 @@ type ParamsJSON struct {
 	// Eps and Delta request a per-query (ε, δ)-approximation: the plan
 	// then uses R = SampleSize(eps, delta) Monte Carlo samples (Lemma 2)
 	// instead of the fixed samples value. Values outside ε > 0,
-	// 0 < δ < 1 are answered with 400.
+	// 0 < δ < 1, or whose R exceeds stats.MaxSamples, are answered with
+	// 400, as is a samples value outside [0, stats.MaxSamples].
 	Eps      float64 `json:"eps,omitempty"`
 	Delta    float64 `json:"delta,omitempty"`
 	Seed     uint64  `json:"seed,omitempty"`

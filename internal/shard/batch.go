@@ -219,6 +219,7 @@ func (c *Coordinator) queryBatchScatter(ctx context.Context, items []core.BatchI
 		sh.mu.RUnlock()
 		bstMu.Lock()
 		bst.Groups += sbst.Groups
+		bst.NodePairs += sbst.NodePairs
 		bst.PermFills += sbst.PermFills
 		bst.PermProbes += sbst.PermProbes
 		bstMu.Unlock()

@@ -25,19 +25,32 @@ import (
 func SampleSize(eps, delta float64) int {
 	n, err := SampleSizeErr(eps, delta)
 	if err != nil {
-		panic("stats: SampleSize requires eps > 0 and 0 < delta < 1")
+		panic(err.Error())
 	}
 	return n
 }
 
+// MaxSamples bounds the Monte Carlo sample count R of one edge
+// probability, requested directly or through (ε, δ). Every estimate costs
+// R permutations of a feature vector, so R is work a client can ask for;
+// 2²⁰ is above every sample count the paper's parameter grid needs
+// (SampleSize(0.01, 0.001) ≈ 2.3·10⁵) and far below the ≈ 6.4·10⁷ that
+// ε = 10⁻³ would demand.
+const MaxSamples = 1 << 20
+
 // SampleSizeErr is SampleSize with the domain violation reported as an
 // error instead of a panic, so query paths can turn a bad requested
-// (ε, δ) into a validation failure.
+// (ε, δ) into a validation failure. An (ε, δ) whose bound is not finite
+// or exceeds MaxSamples is an error too.
 func SampleSizeErr(eps, delta float64) (int, error) {
 	if eps <= 0 || delta <= 0 || delta >= 1 {
 		return 0, fmt.Errorf("stats: sample size needs eps > 0 and 0 < delta < 1 (got eps=%v, delta=%v)", eps, delta)
 	}
-	return int(math.Ceil(3 / (eps * eps) * math.Log(2/delta))), nil
+	r := math.Ceil(3 / (eps * eps) * math.Log(2/delta))
+	if !(r <= MaxSamples) { // also catches NaN and +Inf
+		return 0, fmt.Errorf("stats: eps=%v, delta=%v needs %v samples, above the maximum of %d", eps, delta, r, MaxSamples)
+	}
+	return int(r), nil
 }
 
 // DefaultSamples is the Monte Carlo sample count used when callers do not

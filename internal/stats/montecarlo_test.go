@@ -65,6 +65,23 @@ func TestSampleSizeErr(t *testing.T) {
 	}
 }
 
+// TestSampleSizeErrMax: an (ε, δ) whose Lemma-2 bound is not finite or
+// exceeds MaxSamples is an error, never a wrapped-around or huge R
+// (ε = δ = 1e-9 used to return math.MinInt64), while the strictest
+// accuracy the repository asks for stays within the cap.
+func TestSampleSizeErrMax(t *testing.T) {
+	for _, c := range []struct{ eps, delta float64 }{
+		{1e-9, 1e-9}, {1e-3, 0.05}, {1e-300, 0.5}, {math.NaN(), 0.05}, {0.1, math.NaN()},
+	} {
+		if n, err := SampleSizeErr(c.eps, c.delta); err == nil {
+			t.Errorf("SampleSizeErr(%v, %v) = %d, want an error", c.eps, c.delta, n)
+		}
+	}
+	if n, err := SampleSizeErr(0.01, 0.001); err != nil || n <= 0 || n > MaxSamples {
+		t.Errorf("SampleSizeErr(0.01, 0.001) = %d, %v; want a count in (0, MaxSamples]", n, err)
+	}
+}
+
 func stdPair(rng *randgen.Rand, l int) (xs, xt []float64) {
 	for {
 		xs = make([]float64, l)
