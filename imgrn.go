@@ -183,56 +183,10 @@ type Engine struct {
 	// rotate the log into snapshots. Queries go through coord unchanged.
 	store *shard.Store
 
-	// cacheMu guards the caches map alone; the caches themselves are
-	// internally synchronized. Sharded engines keep caches per shard
-	// inside the coordinator instead.
-	cacheMu sync.Mutex
-	caches  map[estimatorSig]*core.EdgeProbCache
-}
-
-// estimatorSig identifies one estimator configuration: caches must not be
-// shared across configurations.
-type estimatorSig struct {
-	samples  int
-	seed     uint64
-	analytic bool
-	oneSided bool
-}
-
-// cacheFor returns (creating if needed) the probability cache matching the
-// estimator settings of params.
-func (e *Engine) cacheFor(params QueryParams) *core.EdgeProbCache {
-	sig := estimatorSig{
-		samples:  params.Samples,
-		seed:     params.Seed,
-		analytic: params.Analytic,
-		oneSided: params.OneSided,
-	}
-	e.cacheMu.Lock()
-	defer e.cacheMu.Unlock()
-	if e.caches == nil {
-		e.caches = make(map[estimatorSig]*core.EdgeProbCache)
-	}
-	c, ok := e.caches[sig]
-	if !ok {
-		c = core.NewEdgeProbCache(0)
-		e.caches[sig] = c
-	}
-	return c
-}
-
-// invalidateCachesFor drops the memoized probabilities of one data source
-// from every per-estimator cache; called when that source's data changes.
-// Edge probabilities are keyed by (source, gene, gene), so a mutation can
-// only stale its own source's entries — all other sources' memoized
-// values, and the caches' lifetime hit counters, stay warm across
-// mutations.
-func (e *Engine) invalidateCachesFor(source int) {
-	e.cacheMu.Lock()
-	for _, c := range e.caches {
-		c.InvalidateSource(source)
-	}
-	e.cacheMu.Unlock()
+	// caches holds the probability caches, one per estimator
+	// configuration, bounded to core.MaxEstimatorCaches. Sharded engines
+	// keep caches per shard inside the coordinator instead.
+	caches core.CacheSet
 }
 
 // Open builds the IM-GRN index over db and returns a query engine.
@@ -417,7 +371,7 @@ func (e *Engine) QueryContext(ctx context.Context, mq *Matrix, params QueryParam
 	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	params.Cache = e.cacheFor(params)
+	params.Cache = e.caches.For(params)
 	proc, err := core.NewProcessor(e.idx, params)
 	if err != nil {
 		return nil, QueryStats{}, err
@@ -446,7 +400,7 @@ func (e *Engine) QueryGraphContext(ctx context.Context, q *Graph, params QueryPa
 	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	params.Cache = e.cacheFor(params)
+	params.Cache = e.caches.For(params)
 	proc, err := core.NewProcessor(e.idx, params)
 	if err != nil {
 		return nil, QueryStats{}, err
@@ -469,7 +423,7 @@ func (e *Engine) AddMatrix(m *Matrix) error {
 	if err := e.idx.AddMatrix(m); err != nil {
 		return err
 	}
-	e.invalidateCachesFor(m.Source)
+	e.caches.InvalidateSource(m.Source)
 	return nil
 }
 
@@ -486,7 +440,7 @@ func (e *Engine) RemoveMatrix(source int) error {
 	if err := e.idx.RemoveMatrix(source); err != nil {
 		return err
 	}
-	e.invalidateCachesFor(source)
+	e.caches.InvalidateSource(source)
 	return nil
 }
 
@@ -553,7 +507,7 @@ func (e *Engine) QueryBatchContext(ctx context.Context, items []BatchItem, opts 
 	defer e.mu.RUnlock()
 	for i := range items {
 		if errs[i] == nil {
-			items[i].Params.Cache = e.cacheFor(items[i].Params)
+			items[i].Params.Cache = e.caches.For(items[i].Params)
 		}
 	}
 	return core.QueryBatch(ctx, e.idx, items, opts)

@@ -163,3 +163,104 @@ type CacheStats struct {
 func (c *EdgeProbCache) Stats() CacheStats {
 	return CacheStats{Hits: c.hits.Load(), Misses: c.misses.Load()}
 }
+
+// MaxEstimatorCaches bounds how many estimator configurations one CacheSet
+// keeps a cache for. Each cache holds up to 65,536 entries, so without a
+// bound a client sending a fresh seed on every request would grow memory
+// without limit and make every mutation's invalidation walk all of them.
+// Eight sits above the handful of configurations a deployment's clients
+// use at once (the server default plus a few pinned seeds).
+const MaxEstimatorCaches = 8
+
+// CacheSet holds one EdgeProbCache per estimator configuration (sample
+// count, seed, analytic and one-sided flags): a cache must never be shared
+// across configurations, because the memoized probabilities depend on
+// them. It keeps at most MaxEstimatorCaches caches and drops the least
+// recently used one to make room; a dropped configuration starts cold
+// again, which changes speed, never answers. Dropped caches' hit and miss
+// totals carry over into Stats (hits a query still holding a dropped cache
+// records afterwards are not counted). Safe for concurrent use.
+type CacheSet struct {
+	mu      sync.Mutex
+	slots   []cacheSlot // most recently used first
+	retired CacheStats  // lifetime totals of dropped caches
+}
+
+type cacheSlot struct {
+	sig   estimatorSig
+	cache *EdgeProbCache
+}
+
+type estimatorSig struct {
+	samples  int
+	seed     uint64
+	analytic bool
+	oneSided bool
+}
+
+// For returns (creating if needed) the cache for the estimator settings of
+// params and marks it most recently used.
+func (s *CacheSet) For(params Params) *EdgeProbCache {
+	sig := estimatorSig{
+		samples:  params.Samples,
+		seed:     params.Seed,
+		analytic: params.Analytic,
+		oneSided: params.OneSided,
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	i := 0
+	for i < len(s.slots) && s.slots[i].sig != sig {
+		i++
+	}
+	if i == len(s.slots) {
+		fresh := cacheSlot{sig: sig, cache: NewEdgeProbCache(0)}
+		if i < MaxEstimatorCaches {
+			s.slots = append(s.slots, fresh)
+		} else {
+			// Full: the least recently used configuration makes room.
+			i--
+			st := s.slots[i].cache.Stats()
+			s.retired.Hits += st.Hits
+			s.retired.Misses += st.Misses
+			s.slots[i] = fresh
+		}
+	}
+	slot := s.slots[i]
+	copy(s.slots[1:i+1], s.slots[:i])
+	s.slots[0] = slot
+	return slot.cache
+}
+
+// InvalidateSource drops the cached probabilities of one source from every
+// held cache, leaving all other sources' entries (and the hit counters)
+// warm.
+func (s *CacheSet) InvalidateSource(source int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, sl := range s.slots {
+		sl.cache.InvalidateSource(source)
+	}
+}
+
+// Len returns the number of estimator configurations currently held.
+func (s *CacheSet) Len() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.slots)
+}
+
+// Stats returns the entries held across all caches and the lifetime hit
+// and miss totals, dropped caches included.
+func (s *CacheSet) Stats() (entries int, st CacheStats) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	st = s.retired
+	for _, sl := range s.slots {
+		entries += sl.cache.Len()
+		cs := sl.cache.Stats()
+		st.Hits += cs.Hits
+		st.Misses += cs.Misses
+	}
+	return entries, st
+}

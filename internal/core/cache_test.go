@@ -218,3 +218,66 @@ func TestCachedQueriesConsistent(t *testing.T) {
 		t.Error("cache never populated")
 	}
 }
+
+// TestCacheSetBoundedLRU: a fresh seed per request never holds more than
+// MaxEstimatorCaches caches, the least recently used configuration is the
+// one dropped, and dropped caches' hit/miss totals stay in Stats.
+func TestCacheSetBoundedLRU(t *testing.T) {
+	var s CacheSet
+	pinned := Params{Samples: 64, Seed: 1}
+	hot := s.For(pinned)
+	hot.Put(0, 1, 2, 0.5)
+	hot.Get(0, 1, 2)
+	for seed := uint64(1000); seed < 2000; seed++ {
+		c := s.For(Params{Samples: 64, Seed: seed})
+		c.Get(0, 1, 2)
+		// Touching the pinned configuration keeps it most recently used.
+		if s.For(pinned) != hot {
+			t.Fatalf("seed %d: the recently used configuration was dropped", seed)
+		}
+		if n := s.Len(); n > MaxEstimatorCaches {
+			t.Fatalf("seed %d: %d caches held, cap %d", seed, n, MaxEstimatorCaches)
+		}
+	}
+	if n := s.Len(); n != MaxEstimatorCaches {
+		t.Fatalf("%d caches held after 1000 seeds, want the cap %d", n, MaxEstimatorCaches)
+	}
+	entries, st := s.Stats()
+	if entries != 1 || st.Hits != 1 || st.Misses != 1000 {
+		t.Fatalf("Stats = %d entries, %+v; want 1 entry, 1 hit, 1000 misses", entries, st)
+	}
+	// The oldest flood seed was dropped and comes back cold.
+	if s.For(Params{Samples: 64, Seed: 1000}).Len() != 0 {
+		t.Fatal("a dropped configuration came back warm")
+	}
+	s.InvalidateSource(0)
+	if s.For(pinned).Len() != 0 {
+		t.Fatal("InvalidateSource missed a held cache")
+	}
+}
+
+// TestCacheSetConcurrent exercises For, InvalidateSource and Stats from
+// several goroutines at once (run under -race).
+func TestCacheSetConcurrent(t *testing.T) {
+	var s CacheSet
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				c := s.For(Params{Samples: 32, Seed: uint64(g*1000 + i%12)})
+				c.Put(g, i, i+1, 0.5)
+				c.Get(g, i, i+1)
+				if i%20 == 0 {
+					s.InvalidateSource(g)
+					s.Stats()
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if n := s.Len(); n > MaxEstimatorCaches {
+		t.Fatalf("%d caches held, cap %d", n, MaxEstimatorCaches)
+	}
+}

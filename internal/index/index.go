@@ -408,15 +408,16 @@ func (x *Index) FetchStdColumn(source, col int, dst []float64) ([]float64, error
 }
 
 // FetchStdColumnTo is FetchStdColumn with the page charges billed to an
-// explicit toucher. Concurrent calls with distinct touchers are safe while
-// the index is not being mutated.
+// explicit toucher. It decodes straight from the immutable heap bytes, so
+// with a dst of sufficient capacity it does not allocate. Concurrent calls
+// with distinct touchers are safe while the index is not being mutated.
 func (x *Index) FetchStdColumnTo(to pagestore.Toucher, source, col int, dst []float64) ([]float64, error) {
 	h, ok := x.heap[source]
 	if !ok {
 		return nil, fmt.Errorf("index: source %d not in heap", source)
 	}
-	raw := make([]byte, h.colBytes)
-	if err := x.store.ReadAtTo(to, h.first, col*h.colBytes, h.colBytes, raw); err != nil {
+	raw, err := x.store.ViewTo(to, h.first, col*h.colBytes, h.colBytes)
+	if err != nil {
 		return nil, fmt.Errorf("index: fetching column %d of source %d: %w", col, source, err)
 	}
 	l := h.colBytes / 8

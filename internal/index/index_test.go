@@ -7,6 +7,7 @@ import (
 
 	"github.com/imgrn/imgrn/internal/bitvec"
 	"github.com/imgrn/imgrn/internal/gene"
+	"github.com/imgrn/imgrn/internal/pagestore"
 	"github.com/imgrn/imgrn/internal/pivot"
 	"github.com/imgrn/imgrn/internal/randgen"
 	"github.com/imgrn/imgrn/internal/rstar"
@@ -262,6 +263,44 @@ func TestFetchStdColumnRoundTrip(t *testing.T) {
 	}
 	if _, err := idx.FetchStdColumn(9999, 0, nil); err == nil {
 		t.Error("unknown source should error")
+	}
+}
+
+// TestFetchStdColumnToNoAllocSameCharges: with a warmed destination a
+// column fetch allocates nothing, and one reader fetching every column
+// ends with exactly the counters of a reader touched, page by page, over
+// each column's byte range [col·colBytes, (col+1)·colBytes) of its heap run.
+func TestFetchStdColumnToNoAllocSameCharges(t *testing.T) {
+	ds := smallDataset(t, 6, 7)
+	idx, err := Build(ds.DB, Options{D: 1, Samples: 8, Seed: 7, PageSize: 64, BufferPages: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := idx.NewReader(), idx.NewReader()
+	ps := got.PageSize()
+	dst := make([]float64, 0, 64)
+	for _, m := range ds.DB.Matrices() {
+		h := idx.heap[m.Source]
+		for j := 0; j < m.NumGenes(); j++ {
+			if dst, err = idx.FetchStdColumnTo(got, m.Source, j, dst); err != nil {
+				t.Fatal(err)
+			}
+			start, end := j*h.colBytes, (j+1)*h.colBytes
+			for p := start / ps; p <= (end-1)/ps; p++ {
+				want.Touch(h.first + pagestore.PageID(p))
+			}
+		}
+	}
+	if got.Stats() != want.Stats() {
+		t.Fatalf("fetch charges %+v, page-by-page charges %+v", got.Stats(), want.Stats())
+	}
+
+	src := ds.DB.Matrices()[0].Source
+	allocs := testing.AllocsPerRun(100, func() {
+		dst, _ = idx.FetchStdColumnTo(got, src, 1, dst)
+	})
+	if allocs != 0 {
+		t.Fatalf("FetchStdColumnTo with a warmed dst allocates %v times per call", allocs)
 	}
 }
 

@@ -100,7 +100,7 @@ func (a *Accountant) ChargeBytes(id PageID, n int) {
 func (a *Accountant) Stats() Stats { return a.stats }
 
 // Toucher counts page accesses. Both *Accountant and *Reader implement it,
-// so charged read paths (Store.ReadAtTo, rstar.TouchNode) can bill either
+// so charged read paths (Store.ViewTo, rstar.TouchNode) can bill either
 // the global accountant or a per-query reader.
 type Toucher interface {
 	Touch(id PageID)

@@ -47,25 +47,32 @@ func (s *Store) RunLength(id PageID) int {
 // ReadAt copies length bytes starting at byte offset off within the run
 // based at id into dst, charging one access per touched page against the
 // store's own accountant. Query paths that need per-query accounting use
-// ReadAtTo with a Reader instead.
+// ViewTo with a Reader instead.
 func (s *Store) ReadAt(id PageID, off, length int, dst []byte) error {
-	return s.ReadAtTo(s.acc, id, off, length, dst)
-}
-
-// ReadAtTo is ReadAt with the page charges billed to an explicit Toucher
-// (typically a per-query Reader). The run contents themselves are
-// immutable once appended, so concurrent ReadAtTo calls with distinct
-// Touchers are safe as long as no Append runs concurrently.
-func (s *Store) ReadAtTo(to Toucher, id PageID, off, length int, dst []byte) error {
-	run, ok := s.runs[id]
-	if !ok {
-		return fmt.Errorf("pagestore: no run at page %d", id)
-	}
-	if off < 0 || length < 0 || off+length > len(run) {
-		return fmt.Errorf("pagestore: read [%d,%d) out of run of %d bytes", off, off+length, len(run))
-	}
 	if len(dst) < length {
 		return fmt.Errorf("pagestore: destination smaller than read length")
+	}
+	b, err := s.ViewTo(s.acc, id, off, length)
+	if err != nil {
+		return err
+	}
+	copy(dst, b)
+	return nil
+}
+
+// ViewTo charges the same page accesses as a ReadAt of [off, off+length)
+// within the run based at id, billed to an explicit Toucher (typically a
+// per-query Reader), and returns those bytes without copying them. The
+// returned slice aliases the run and must not be written. Run contents are
+// immutable once appended, so concurrent ViewTo calls with distinct
+// Touchers are safe as long as no Append runs concurrently.
+func (s *Store) ViewTo(to Toucher, id PageID, off, length int) ([]byte, error) {
+	run, ok := s.runs[id]
+	if !ok {
+		return nil, fmt.Errorf("pagestore: no run at page %d", id)
+	}
+	if off < 0 || length < 0 || off+length > len(run) {
+		return nil, fmt.Errorf("pagestore: read [%d,%d) out of run of %d bytes", off, off+length, len(run))
 	}
 	ps := to.PageSize()
 	firstPage := off / ps
@@ -76,8 +83,7 @@ func (s *Store) ReadAtTo(to Toucher, id PageID, off, length int, dst []byte) err
 	for p := firstPage; p <= lastPage; p++ {
 		to.Touch(id + PageID(p))
 	}
-	copy(dst[:length], run[off:off+length])
-	return nil
+	return run[off : off+length : off+length], nil
 }
 
 // Runs returns the number of stored runs.

@@ -10,7 +10,10 @@
 // harness deterministic.
 package randgen
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Rand is a deterministic pseudo-random generator (xoshiro256**).
 // It is NOT safe for concurrent use; derive per-goroutine generators with
@@ -75,19 +78,27 @@ func SeedFrom(base uint64, coords ...uint64) uint64 {
 	return z
 }
 
-func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
+// step is one xoshiro256** transition on a state held in four words: it
+// returns the output and the successor state. Every draw in this package
+// goes through it, so the hot loops below can keep the state in locals
+// (registers) and store it back once.
+func step(s0, s1, s2, s3 uint64) (out, n0, n1, n2, n3 uint64) {
+	out = bits.RotateLeft64(s1*5, 7) * 9
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	s1 ^= s2
+	s0 ^= s3
+	s2 ^= t
+	s3 = bits.RotateLeft64(s3, 45)
+	return out, s0, s1, s2, s3
+}
 
 // Uint64 returns the next 64 pseudo-random bits.
 func (r *Rand) Uint64() uint64 {
-	result := rotl(r.s[1]*5, 7) * 9
-	t := r.s[1] << 17
-	r.s[2] ^= r.s[0]
-	r.s[3] ^= r.s[1]
-	r.s[1] ^= r.s[2]
-	r.s[0] ^= r.s[3]
-	r.s[2] ^= t
-	r.s[3] = rotl(r.s[3], 45)
-	return result
+	var v uint64
+	v, r.s[0], r.s[1], r.s[2], r.s[3] = step(r.s[0], r.s[1], r.s[2], r.s[3])
+	return v
 }
 
 // Float64 returns a uniform float64 in [0, 1).
@@ -102,31 +113,14 @@ func (r *Rand) Intn(n int) int {
 		panic("randgen: Intn with n <= 0")
 	}
 	un := uint64(n)
-	x := r.Uint64()
-	hi, lo := mul64(x, un)
+	hi, lo := bits.Mul64(r.Uint64(), un)
 	if lo < un {
-		thresh := (-un) % un
+		thresh := -un % un
 		for lo < thresh {
-			x = r.Uint64()
-			hi, lo = mul64(x, un)
+			hi, lo = bits.Mul64(r.Uint64(), un)
 		}
 	}
 	return int(hi)
-}
-
-// mul64 returns the 128-bit product of x and y as (hi, lo).
-func mul64(x, y uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	x0, x1 := x&mask32, x>>32
-	y0, y1 := y&mask32, y>>32
-	w0 := x0 * y0
-	t := x1*y0 + w0>>32
-	w1 := t & mask32
-	w2 := t >> 32
-	w1 += x0 * y1
-	hi = x1*y1 + w2 + w1>>32
-	lo = x * y
-	return
 }
 
 // UniformIn returns a uniform float64 in [lo, hi).
@@ -170,19 +164,34 @@ func (r *Rand) Gaussian(mean, stddev float64) float64 {
 }
 
 // Shuffle permutes x in place with the Fisher–Yates algorithm.
-func (r *Rand) Shuffle(x []float64) {
-	for i := len(x) - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		x[i], x[j] = x[j], x[i]
-	}
-}
+func (r *Rand) Shuffle(x []float64) { shuffle(r, x) }
 
 // ShuffleInts permutes x in place with the Fisher–Yates algorithm.
-func (r *Rand) ShuffleInts(x []int) {
+func (r *Rand) ShuffleInts(x []int) { shuffle(r, x) }
+
+// shuffle is the Fisher–Yates loop behind Shuffle, ShuffleInts and
+// PermuteInto: for i = len(x)-1 down to 1 it swaps x[i] with x[Intn(i+1)].
+// It consumes exactly the draws of that Intn sequence, with the generator
+// state held in locals for the whole loop and Lemire's rejection branch
+// inlined, so the stream and the permutation match the one-call-per-swap
+// form bit for bit.
+func shuffle[T any](r *Rand, x []T) {
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	var v uint64
 	for i := len(x) - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
+		n := uint64(i + 1)
+		v, s0, s1, s2, s3 = step(s0, s1, s2, s3)
+		j, lo := bits.Mul64(v, n)
+		if lo < n {
+			thresh := -n % n
+			for lo < thresh {
+				v, s0, s1, s2, s3 = step(s0, s1, s2, s3)
+				j, lo = bits.Mul64(v, n)
+			}
+		}
 		x[i], x[j] = x[j], x[i]
 	}
+	r.s = [4]uint64{s0, s1, s2, s3}
 }
 
 // Perm returns a uniform random permutation of [0, n).
@@ -204,7 +213,7 @@ func (r *Rand) PermuteInto(dst, src []float64) {
 		panic("randgen: PermuteInto length mismatch")
 	}
 	copy(dst, src)
-	r.Shuffle(dst)
+	shuffle(r, dst)
 }
 
 // SampleWithoutReplacement returns k distinct uniform indices from [0, n).

@@ -58,7 +58,7 @@ func (c *Coordinator) queryBatchOne(ctx context.Context, items []core.BatchItem,
 	errs := core.ResolveBatchPlans(items)
 	for i := range items {
 		if errs[i] == nil {
-			items[i].Params.Cache = s.cacheFor(items[i].Params)
+			items[i].Params.Cache = s.caches.For(items[i].Params)
 		}
 	}
 	s.mu.RLock()
@@ -196,7 +196,7 @@ func (c *Coordinator) queryBatchScatter(ctx context.Context, items []core.BatchI
 			sp := items[li.orig].Params
 			sp.Seed = randgen.SeedFrom(sp.Seed, uint64(s))
 			sp.Sink = li.sink
-			sp.Cache = sh.cacheFor(sp)
+			sp.Cache = sh.caches.For(sp)
 			// The plan traveled with the params; K stays 0 at shard level
 			// (the shared sink owns the trim).
 			shardItems[pos] = core.BatchItem{Graph: items[li.orig].Graph, Params: sp}

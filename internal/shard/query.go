@@ -174,7 +174,7 @@ func (c *Coordinator) queryOne(ctx context.Context, mq *gene.Matrix, params core
 	s := c.shards[0]
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	params.Cache = s.cacheFor(params)
+	params.Cache = s.caches.For(params)
 	proc, err := core.NewProcessor(s.idx, params)
 	if err != nil {
 		return nil, core.Stats{}, err
@@ -193,7 +193,7 @@ func (c *Coordinator) queryGraphOne(ctx context.Context, q *grn.Graph, params co
 	s := c.shards[0]
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	params.Cache = s.cacheFor(params)
+	params.Cache = s.caches.For(params)
 	proc, err := core.NewProcessor(s.idx, params)
 	if err != nil {
 		return nil, core.Stats{}, err
@@ -262,7 +262,7 @@ func scatterScratchFor(ec *exec.Context) *scatterScratch {
 //
 // The shared prologue runs once, sequentially, before the fan-out:
 // parameter validation, the per-shard params rewrite (derived seed, sink,
-// cache handle — cacheFor contends on the shard's cache mutex, so
+// cache handle — caches.For contends on the shard's cache mutex, so
 // serializing it here keeps the mutex out of the parallel phase), and
 // processor construction. The workers then only take the shard read lock
 // and run the query.
@@ -284,7 +284,7 @@ func (c *Coordinator) scatter(ctx context.Context, q *grn.Graph, params core.Par
 		sp := params
 		sp.Seed = randgen.SeedFrom(params.Seed, uint64(i))
 		sp.Sink = sink
-		sp.Cache = s.cacheFor(sp)
+		sp.Cache = s.caches.For(sp)
 		proc, perr := core.NewProcessor(s.idx, sp)
 		if perr != nil {
 			return nil, nil, perr

@@ -30,7 +30,7 @@ func (c *Coordinator) QueryShardGraph(ctx context.Context, local int, q *grn.Gra
 	s := c.shards[local]
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	params.Cache = s.cacheFor(params)
+	params.Cache = s.caches.For(params)
 	proc, err := core.NewProcessor(s.idx, params)
 	if err != nil {
 		return nil, core.Stats{}, err
@@ -59,7 +59,7 @@ func (c *Coordinator) QueryShardBatch(ctx context.Context, local int, items []co
 	}
 	s := c.shards[local]
 	for i := range items {
-		items[i].Params.Cache = s.cacheFor(items[i].Params)
+		items[i].Params.Cache = s.caches.For(items[i].Params)
 	}
 	s.mu.RLock()
 	results, bst := core.QueryBatch(ctx, s.idx, items, opts)

@@ -116,59 +116,18 @@ type shardState struct {
 	mu  sync.RWMutex
 	idx *index.Index
 
-	cacheMu sync.Mutex
-	caches  map[estimatorSig]*core.EdgeProbCache
+	// caches holds the shard's probability caches, one per estimator
+	// configuration, bounded to core.MaxEstimatorCaches. For P>1 params
+	// already carry the shard-derived seed, so the same base query maps
+	// to distinct caches on distinct shards — exactly right, since their
+	// sample streams differ.
+	caches core.CacheSet
 
 	// Lifetime counters for observability (Snapshot, /stats, /metrics).
 	queries   atomic.Uint64
 	mutations atomic.Uint64
 	ioCost    atomic.Uint64 // per-query page accesses served by this shard
 	ioHits    atomic.Uint64 // per-query buffer-pool absorptions
-}
-
-// estimatorSig keys the per-shard caches by estimator configuration,
-// mirroring the unsharded engine: a cache must never be shared across
-// configurations (the memoized probabilities depend on them).
-type estimatorSig struct {
-	samples  int
-	seed     uint64
-	analytic bool
-	oneSided bool
-}
-
-// cacheFor returns (creating if needed) the shard's probability cache for
-// the estimator settings of params. For P>1 params already carries the
-// shard-derived seed, so the same base query maps to distinct cache keys
-// on distinct shards — exactly right, since their sample streams differ.
-func (s *shardState) cacheFor(params core.Params) *core.EdgeProbCache {
-	sig := estimatorSig{
-		samples:  params.Samples,
-		seed:     params.Seed,
-		analytic: params.Analytic,
-		oneSided: params.OneSided,
-	}
-	s.cacheMu.Lock()
-	defer s.cacheMu.Unlock()
-	if s.caches == nil {
-		s.caches = make(map[estimatorSig]*core.EdgeProbCache)
-	}
-	c, ok := s.caches[sig]
-	if !ok {
-		c = core.NewEdgeProbCache(0)
-		s.caches[sig] = c
-	}
-	return c
-}
-
-// invalidateSource drops the cached probabilities of one source from every
-// estimator cache of the shard, leaving all other sources' entries (and
-// the caches' hit counters) warm.
-func (s *shardState) invalidateSource(source int) {
-	s.cacheMu.Lock()
-	defer s.cacheMu.Unlock()
-	for _, c := range s.caches {
-		c.InvalidateSource(source)
-	}
 }
 
 // Build partitions db round-robin into opts.NumShards shards and builds
@@ -310,14 +269,10 @@ func (c *Coordinator) Snapshot() []ShardInfo {
 			IOCost:    s.ioCost.Load(),
 			IOHits:    s.ioHits.Load(),
 		}
-		s.cacheMu.Lock()
-		for _, cache := range s.caches {
-			info.CacheEntries += cache.Len()
-			cs := cache.Stats()
-			info.CacheHits += cs.Hits
-			info.CacheMisses += cs.Misses
-		}
-		s.cacheMu.Unlock()
+		entries, cs := s.caches.Stats()
+		info.CacheEntries = entries
+		info.CacheHits = cs.Hits
+		info.CacheMisses = cs.Misses
 		out[i] = info
 	}
 	return out

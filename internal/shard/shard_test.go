@@ -574,3 +574,56 @@ func TestFromIndexSharedDatabase(t *testing.T) {
 		t.Fatalf("database after remove = %d sources, want %d", got, n)
 	}
 }
+
+// TestCachesBoundedUnderSeedFlood: a client sending a fresh seed on every
+// request leaves each shard holding at most core.MaxEstimatorCaches caches
+// (so at most that many queries' worth of entries), and a query whose
+// cache was dropped answers exactly as it did on a cold coordinator.
+func TestCachesBoundedUnderSeedFlood(t *testing.T) {
+	ds, err := synth.GenerateDatabase(synth.DBParams{
+		N: 30, NMin: 10, NMax: 20, LMin: 10, LMax: 15, Seed: 5, Dist: synth.Uniform, GenePool: 30,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, err := shard.Build(ds.DB, shard.Options{NumShards: 2, Index: index.Options{D: 2, Samples: 16, Seed: 5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mq, _, err := ds.ExtractQuery(randgen.New(3), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := core.Params{Gamma: 0.3, Alpha: 0.1, Samples: 16, Seed: 7}
+	query := func(seed uint64) (string, core.Stats) {
+		p := params
+		p.Seed = seed
+		answers, st, err := coord.QueryContext(context.Background(), mq, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fingerprint(answers, core.Stats{}), st
+	}
+	want, _ := query(params.Seed)
+	maxMisses := 0
+	for seed := uint64(1000); seed < 2000; seed++ {
+		if _, st := query(seed); st.CacheMisses > maxMisses {
+			maxMisses = st.CacheMisses
+		}
+	}
+	entries := 0
+	for _, info := range coord.Snapshot() {
+		entries += info.CacheEntries
+	}
+	if bound := core.MaxEstimatorCaches * maxMisses; entries > bound {
+		t.Errorf("%d cached entries after 1000 seeds, more than %d caches of at most %d misses each",
+			entries, core.MaxEstimatorCaches, maxMisses)
+	}
+	got, st := query(params.Seed)
+	if got != want {
+		t.Errorf("answers changed after the seed's cache was dropped:\n got:\n%s\nwant:\n%s", got, want)
+	}
+	if st.CacheHits != 0 {
+		t.Errorf("the first seed's cache survived 1000 newer seeds (%d hits)", st.CacheHits)
+	}
+}
